@@ -18,9 +18,16 @@
 // dispatch) that the vectorized leg replaces with typed column loops
 // (exec/vector_eval.cc, docs/PERFORMANCE.md).
 //
-// Gates (full runs only), both on the 100-group x 100k-row workload:
-// grouped must be >= 5x faster than memoized, and vectorized must be
-// >= 10x faster than row. Emits BENCH_grouped_strategy.json.
+// A third pair times the execution modes on the analyst join shape: a
+// measure view over Customers joined to the 100k-row Orders, filtered
+// above the join and read through AGGREGATE. The vectorized leg runs the
+// columnar hash join and keeps the Filter and Aggregate above it on
+// columns; the row leg joins, filters and groups row at a time.
+//
+// Gates (full runs only), all on the 100-group x 100k-row workload:
+// grouped must be >= 5x faster than memoized, vectorized must be >= 10x
+// faster than row on the plain aggregation and >= 3x faster than row on
+// the join. Emits BENCH_grouped_strategy.json.
 //
 // Own-main bench: the interleaved round structure and the process-exit
 // gate do not fit the per-iteration google-benchmark model. `--smoke` or
@@ -55,6 +62,14 @@ const char* const kAggQuery =
     "SELECT prodName, SUM(revenue) AS rev, COUNT(*) AS cnt, "
     "AVG(revenue) AS avg_rev, MIN(revenue) AS lo, MAX(revenue) AS hi "
     "FROM Orders GROUP BY prodName ORDER BY prodName";
+
+// The analyst join template: fact rows joined to a measure view on the
+// customer key, a filter above the join, measures read per product group.
+const char* const kJoinQuery =
+    "SELECT o.prodName, AGGREGATE(c.avgAge) AS avg_age, "
+    "AGGREGATE(c.custCount) AS customers FROM Orders AS o "
+    "JOIN EC AS c USING (custName) WHERE o.revenue > 300 "
+    "GROUP BY o.prodName ORDER BY o.prodName";
 
 struct StrategyResult {
   std::string name;
@@ -130,18 +145,23 @@ int Main(int argc, char** argv) {
     rounds = 2;
   }
 
+  constexpr int kCustomers = 100;
   Engine db;
-  LoadOrders(&db, rows, /*products=*/groups, /*customers=*/100);
+  LoadOrders(&db, rows, /*products=*/groups, kCustomers);
+  LoadCustomers(&db, kCustomers);
 
   StrategyResult memoized{.name = "memoized", .exec_mode = "vectorized"};
   StrategyResult grouped{.name = "grouped", .exec_mode = "vectorized"};
   StrategyResult row_exec{.name = "grouped", .exec_mode = "row"};
   StrategyResult vec_exec{.name = "grouped", .exec_mode = "vectorized"};
+  StrategyResult row_join{.name = "join", .exec_mode = "row"};
+  StrategyResult vec_join{.name = "join", .exec_mode = "vectorized"};
   {  // warmup, untimed
     StrategyResult scratch;
     db.options().measure_strategy = MeasureStrategy::kGrouped;
     TimeRound(&db, kGroupedQuery, 1, &scratch);
     TimeRound(&db, kAggQuery, 1, &scratch);
+    TimeRound(&db, kJoinQuery, 1, &scratch);
   }
   for (int r = 0; r < rounds; ++r) {
     db.options().exec_mode = ExecMode::kVectorized;
@@ -156,8 +176,15 @@ int Main(int argc, char** argv) {
     row_exec.round_qps.push_back(TimeRound(&db, kAggQuery, passes, &row_exec));
     db.options().exec_mode = ExecMode::kVectorized;
     vec_exec.round_qps.push_back(TimeRound(&db, kAggQuery, passes, &vec_exec));
+    // Join pair: the analyst join template under both execution modes.
+    db.options().exec_mode = ExecMode::kRow;
+    row_join.round_qps.push_back(TimeRound(&db, kJoinQuery, passes, &row_join));
+    db.options().exec_mode = ExecMode::kVectorized;
+    vec_join.round_qps.push_back(TimeRound(&db, kJoinQuery, passes, &vec_join));
   }
-  for (StrategyResult* res : {&memoized, &grouped, &row_exec, &vec_exec}) {
+  const std::vector<StrategyResult*> legs = {&memoized, &grouped, &row_exec,
+                                             &vec_exec, &row_join, &vec_join};
+  for (StrategyResult* res : legs) {
     res->median_qps = Median(res->round_qps);
     res->best_qps =
         *std::max_element(res->round_qps.begin(), res->round_qps.end());
@@ -182,6 +209,10 @@ int Main(int argc, char** argv) {
   std::printf("vectorized speedup over row: %.2fx "
               "(gate: >= 10x on the full run)\n",
               vec_speedup);
+  const double join_speedup = PairedSpeedup(row_join, vec_join);
+  std::printf("vectorized join speedup over row: %.2fx "
+              "(gate: >= 3x on the full run)\n",
+              join_speedup);
 
   std::ofstream out("BENCH_grouped_strategy.json");
   JsonWriter w(out);
@@ -198,7 +229,7 @@ int Main(int argc, char** argv) {
   w.Bool(smoke);
   w.Key("strategies");
   w.BeginArray();
-  for (const StrategyResult* res : {&memoized, &grouped, &row_exec, &vec_exec}) {
+  for (const StrategyResult* res : legs) {
     w.BeginObject();
     w.Key("strategy");
     w.String(res->name);
@@ -235,6 +266,10 @@ int Main(int argc, char** argv) {
   w.Double(vec_speedup);
   w.Key("gate_vec_speedup");
   w.Double(10.0);
+  w.Key("join_speedup");
+  w.Double(join_speedup);
+  w.Key("gate_join_speedup");
+  w.Double(3.0);
   w.EndObject();
   out << "\n";
   std::printf("wrote BENCH_grouped_strategy.json\n");
@@ -249,6 +284,13 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr,
                  "GATE FAILED: vectorized speedup %.2fx is below the 10x gate\n",
                  vec_speedup);
+    return 1;
+  }
+  if (!smoke && join_speedup < 3.0) {
+    std::fprintf(stderr,
+                 "GATE FAILED: vectorized join speedup %.2fx is below the 3x "
+                 "gate\n",
+                 join_speedup);
     return 1;
   }
   return 0;

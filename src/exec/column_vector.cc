@@ -1,5 +1,6 @@
 #include "exec/column_vector.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace msql {
@@ -180,43 +181,48 @@ Result<ColumnPtr> GatherColumn(const ColumnVector& c,
     col->valid = zeros;
     return ColumnPtr(col);
   }
+  const bool pads = std::any_of(sel.begin(), sel.end(),
+                                [](int64_t s) { return s < 0; });
   uint64_t* valid = nullptr;
-  if (c.valid != nullptr) {
+  if (c.valid != nullptr || pads) {
     valid = arena->AllocateArray<uint64_t>(words == 0 ? 1 : words);
     if (valid == nullptr) return arena->status();
     std::memset(valid, 0, (words == 0 ? 1 : words) * sizeof(uint64_t));
   }
+  // Padded slots get a zero payload, like every NULL slot.
   if (c.kind == TypeKind::kDouble) {
     double* out = arena->AllocateArray<double>(static_cast<size_t>(n));
     if (out == nullptr && n > 0) return arena->status();
-    for (int64_t i = 0; i < n; ++i) out[i] = c.doubles[sel[i]];
+    for (int64_t i = 0; i < n; ++i) out[i] = sel[i] < 0 ? 0 : c.doubles[sel[i]];
     col->doubles = out;
   } else {
     int64_t* out = arena->AllocateArray<int64_t>(static_cast<size_t>(n));
     if (out == nullptr && n > 0) return arena->status();
-    for (int64_t i = 0; i < n; ++i) out[i] = c.ints[sel[i]];
+    for (int64_t i = 0; i < n; ++i) out[i] = sel[i] < 0 ? 0 : c.ints[sel[i]];
     col->ints = out;
   }
   if (valid != nullptr) {
     for (int64_t i = 0; i < n; ++i) {
-      if (c.IsValid(sel[i])) valid[i >> 6] |= uint64_t{1} << (i & 63);
+      if (sel[i] >= 0 && c.IsValid(sel[i])) {
+        valid[i >> 6] |= uint64_t{1} << (i & 63);
+      }
     }
     col->valid = valid;
   }
   return ColumnPtr(col);
 }
 
+Row RowAt(const ColumnarRelation& c, int64_t i) {
+  Row row;
+  row.reserve(c.cols.size());
+  for (const ColumnPtr& col : c.cols) row.push_back(col->At(i));
+  return row;
+}
+
 std::vector<Row> MaterializeRowsDense(const ColumnarRelation& c) {
   std::vector<Row> rows;
-  rows.resize(static_cast<size_t>(c.num_rows));
-  const size_t width = c.cols.size();
-  for (int64_t i = 0; i < c.num_rows; ++i) {
-    Row& row = rows[static_cast<size_t>(i)];
-    row.reserve(width);
-    for (size_t col = 0; col < width; ++col) {
-      row.push_back(c.cols[col]->At(i));
-    }
-  }
+  rows.reserve(static_cast<size_t>(c.num_rows));
+  for (int64_t i = 0; i < c.num_rows; ++i) rows.push_back(RowAt(c, i));
   return rows;
 }
 

@@ -138,10 +138,14 @@ Result<std::shared_ptr<const ColumnarRelation>> ColumnarizeRows(
 // present). The inverse of ColumnarizeRows up to value identity.
 std::vector<Row> MaterializeRowsDense(const ColumnarRelation& c);
 
+// Row i of a complete columnar relation as row-path values.
+Row RowAt(const ColumnarRelation& c, int64_t i);
+
 // Gathers the rows listed in `sel` (indices into `c`) into a fresh column
 // with payload storage in `arena`; a string column shares the source
-// dictionary, so gathering is O(|sel|) regardless of dictionary size.
-// Errors only when the arena's guard rejects the allocation.
+// dictionary, so gathering is O(|sel|) regardless of dictionary size. An
+// index of -1 gathers a NULL (the padding side of an outer join). Errors
+// only when the arena's guard rejects the allocation.
 Result<ColumnPtr> GatherColumn(const ColumnVector& c,
                                const std::vector<int64_t>& sel,
                                const std::shared_ptr<Arena>& arena);

@@ -232,7 +232,6 @@ namespace {
 // Returns false — with nothing charged — when any expression lacks a kernel.
 Result<bool> TryVectorProject(const LogicalPlan& plan, const Relation& child,
                               ExecState* state, Relation* rel) {
-  if (child.columns == nullptr) return false;
   const int64_t n = static_cast<int64_t>(child.rows.size());
   auto arena = std::make_shared<Arena>();
   auto out = std::make_shared<ColumnarRelation>();
@@ -251,12 +250,17 @@ Result<bool> TryVectorProject(const LogicalPlan& plan, const Relation& child,
   return true;
 }
 
+// True when `rel` carries a columnar image of every schema column.
+bool HasCompleteColumns(const Relation& rel) {
+  return rel.columns != nullptr && rel.columns->Complete() &&
+         rel.columns->cols.size() == rel.schema.size();
+}
+
 // Vectorized filter: the predicate has a kernel and every child column is
 // columnar; kept rows are gathered by selection vector. Charges what the row
 // path charges: one row of the child width per kept row.
 Result<bool> TryVectorFilter(const LogicalPlan& plan, const Relation& child,
                              ExecState* state, Relation* rel) {
-  if (child.columns == nullptr || !child.columns->Complete()) return false;
   const int64_t n = static_cast<int64_t>(child.rows.size());
   auto arena = std::make_shared<Arena>();
   MSQL_ASSIGN_OR_RETURN(ColumnPtr pred,
@@ -292,7 +296,10 @@ Result<RelationPtr> Executor::ExecProject(const LogicalPlan& plan,
   MSQL_ASSIGN_OR_RETURN(RelationPtr child, Execute(*plan.children[0], outer));
   auto rel = std::make_shared<Relation>();
   rel->schema = plan.schema;
-  if (outer.empty() && VectorizedGate(state_) == VectorGate::kOk) {
+  // A child without a columnar image (Sort, Aggregate, ... output) leaves no
+  // kernel to try: running on rows then is not a fallback.
+  if (outer.empty() && child->columns != nullptr &&
+      VectorizedGate(state_) == VectorGate::kOk) {
     MSQL_ASSIGN_OR_RETURN(bool done,
                           TryVectorProject(plan, *child, state_, rel.get()));
     if (done) {
@@ -328,7 +335,8 @@ Result<RelationPtr> Executor::ExecFilter(const LogicalPlan& plan,
   MSQL_ASSIGN_OR_RETURN(RelationPtr child, Execute(*plan.children[0], outer));
   auto rel = std::make_shared<Relation>();
   rel->schema = plan.schema;
-  if (outer.empty() && VectorizedGate(state_) == VectorGate::kOk) {
+  if (outer.empty() && HasCompleteColumns(*child) &&
+      VectorizedGate(state_) == VectorGate::kOk) {
     MSQL_ASSIGN_OR_RETURN(bool done,
                           TryVectorFilter(plan, *child, state_, rel.get()));
     if (done) {
@@ -431,6 +439,250 @@ JoinKeys AnalyzeJoin(const BoundExpr* cond, size_t lv, size_t rv, size_t lh) {
   return keys;
 }
 
+// Where a column of the combined join layout lives: which child, and its
+// index in that child's own (visible, then hidden) layout.
+struct JoinLayout {
+  size_t lv, rv, lh;
+  bool IsLeft(size_t c) const {
+    return c < lv || (c >= lv + rv && c < lv + rv + lh);
+  }
+  size_t SideIndex(size_t c) const {
+    if (c < lv) return c;
+    if (c < lv + rv) return c - lv;
+    if (c < lv + rv + lh) return c - rv;
+    return c - lv - lh;
+  }
+};
+
+bool HasRowIndex(const BoundExpr& e) {
+  return ContainsNode(e, [](const BoundExpr& n) {
+    return n.kind == BoundExprKind::kRowIndex;
+  });
+}
+
+// Columnar hash join over two fully columnar children with equi-keys. Key
+// expressions run as kernels on their own side; the right side is hashed by
+// key tuple and the left side probes it, emitting (left, right) index pairs;
+// residual conjuncts run as kernels over the candidate pairs; every output
+// column is gathered once, -1 indices padding outer joins with NULLs. Row
+// order, NULL-key handling and guard charges are exactly the row join's.
+// Returns false, with nothing charged, when a key or residual expression has
+// no kernel (or would read the row index, which the row join cannot).
+Result<bool> TryVectorJoin(const LogicalPlan& plan, const JoinKeys& keys,
+                           const JoinLayout& layout, const Relation& left,
+                           const Relation& right, ExecState* state,
+                           Relation* rel) {
+  const int64_t nl = static_cast<int64_t>(left.rows.size());
+  const int64_t nr = static_cast<int64_t>(right.rows.size());
+  const size_t width = plan.schema.size();
+  // Column c of the combined layout at the pairs (li[i], ri[i]).
+  auto gather = [&](size_t c, const std::vector<int64_t>& li,
+                    const std::vector<int64_t>& ri,
+                    const std::shared_ptr<Arena>& arena) {
+    const bool is_left = layout.IsLeft(c);
+    return GatherColumn(
+        *(is_left ? left : right).columns->cols[layout.SideIndex(c)],
+        is_left ? li : ri, arena);
+  };
+
+  // Key columns, right side first (the row join builds before it probes).
+  auto key_arena = std::make_shared<Arena>();
+  std::vector<ColumnPtr> lkeys(keys.left.size()), rkeys(keys.right.size());
+  for (bool is_left : {false, true}) {
+    for (size_t k = 0; k < keys.left.size(); ++k) {
+      const BoundExpr& e = is_left ? *keys.left[k] : *keys.right[k];
+      if (HasRowIndex(e)) return false;
+      BoundExprPtr own = e.Clone();
+      VisitNodes(own.get(), [&](BoundExpr* n) {
+        if (n->kind == BoundExprKind::kColumnRef && n->depth == 0) {
+          n->column = static_cast<int>(
+              layout.SideIndex(static_cast<size_t>(n->column)));
+        }
+      });
+      MSQL_ASSIGN_OR_RETURN(
+          ColumnPtr col,
+          EvalVector(*own, is_left ? left : right, key_arena, state));
+      if (col == nullptr) return false;
+      (is_left ? lkeys : rkeys)[k] = std::move(col);
+    }
+  }
+
+  // Residual conjuncts run over candidate pairs, reading only the columns
+  // they reference (gathered per chunk; the other slots stay empty).
+  std::vector<size_t> residual_cols;
+  for (const BoundExpr* r : keys.residual) {
+    if (HasRowIndex(*r)) return false;
+    VisitNodes(*r, [&](const BoundExpr& n) {
+      if (n.kind == BoundExprKind::kColumnRef && n.depth == 0 &&
+          n.column >= 0 && static_cast<size_t>(n.column) < width) {
+        residual_cols.push_back(static_cast<size_t>(n.column));
+      }
+    });
+  }
+  std::sort(residual_cols.begin(), residual_cols.end());
+  residual_cols.erase(std::unique(residual_cols.begin(), residual_cols.end()),
+                      residual_cols.end());
+  // Keeps the pairs every conjunct accepts, running each conjunct over the
+  // survivors of the one before: the row join stops at the first false
+  // conjunct, so a later one never sees (or fails on) a rejected pair.
+  // Returns false when a conjunct has no kernel.
+  auto narrow = [&](std::vector<int64_t>* cl,
+                    std::vector<int64_t>* cr) -> Result<bool> {
+    for (const BoundExpr* r : keys.residual) {
+      auto arena = std::make_shared<Arena>();
+      auto cols = std::make_shared<ColumnarRelation>();
+      cols->num_rows = static_cast<int64_t>(cl->size());
+      cols->cols.resize(width);
+      for (size_t c : residual_cols) {
+        MSQL_ASSIGN_OR_RETURN(cols->cols[c], gather(c, *cl, *cr, arena));
+      }
+      Relation cand;
+      cand.columns = cols;
+      cand.rows.AdoptLazy(cols);
+      MSQL_ASSIGN_OR_RETURN(ColumnPtr pred,
+                            EvalVector(*r, cand, arena, state));
+      if (pred == nullptr || (pred->kind != TypeKind::kBool &&
+                              pred->kind != TypeKind::kNull)) {
+        return false;
+      }
+      size_t kept = 0;
+      for (size_t i = 0; i < cl->size(); ++i) {
+        if (pred->IsValid(static_cast<int64_t>(i)) && pred->ints[i] != 0) {
+          (*cl)[kept] = (*cl)[i];
+          (*cr)[kept] = (*cr)[i];
+          ++kept;
+        }
+      }
+      cl->resize(kept);
+      cr->resize(kept);
+    }
+    return true;
+  };
+  // Kernel coverage depends only on column kinds, which gathering keeps:
+  // a dry run over zero pairs decides it before anything is charged.
+  {
+    std::vector<int64_t> none_l, none_r;
+    MSQL_ASSIGN_OR_RETURN(bool covered, narrow(&none_l, &none_r));
+    if (!covered) return false;
+  }
+
+  // Build: chains of right rows per key hash, in ascending row order (the
+  // order the row join's GroupMap lists a key's rows in).
+  std::vector<uint64_t> lhash, rhash;
+  std::vector<uint8_t> lnull, rnull;
+  JoinKeyHashes(rkeys, lkeys, nr, &rhash, &rnull);
+  JoinKeyHashes(lkeys, rkeys, nl, &lhash, &lnull);
+  std::unordered_map<uint64_t, int64_t> heads;
+  heads.reserve(static_cast<size_t>(nr));
+  std::vector<int64_t> next(static_cast<size_t>(nr), -1);
+  for (int64_t j = nr - 1; j >= 0; --j) {
+    if (rnull[j]) continue;  // `=` never matches NULL
+    auto [it, inserted] = heads.emplace(rhash[j], j);
+    if (!inserted) {
+      next[j] = it->second;
+      it->second = j;
+    }
+  }
+
+  // Probe in left-row order; matched pairs are charged chunk by chunk so a
+  // fan-out blow-up stops at the budget, as the row join's per-row charge.
+  constexpr size_t kChunkPairs = 16 * kRowsPerBatch;
+  std::vector<int64_t> out_l, out_r, cand_l, cand_r;
+  auto flush = [&]() -> Status {
+    if (!keys.residual.empty()) {
+      MSQL_ASSIGN_OR_RETURN(bool covered, narrow(&cand_l, &cand_r));
+      if (!covered) {
+        return Status(ErrorCode::kExecution,
+                      "join residual lost its kernel after the dry run");
+      }
+    }
+    MSQL_RETURN_IF_ERROR(state->guard.ChargeRows(cand_l.size(), width));
+    out_l.insert(out_l.end(), cand_l.begin(), cand_l.end());
+    out_r.insert(out_r.end(), cand_r.begin(), cand_r.end());
+    cand_l.clear();
+    cand_r.clear();
+    return Status::Ok();
+  };
+  for (int64_t i = 0; i < nl; ++i) {
+    if ((i & (kRowsPerBatch - 1)) == 0) {
+      MSQL_RETURN_IF_ERROR(state->guard.Check());
+    }
+    if (lnull[i]) continue;
+    auto it = heads.find(lhash[i]);
+    if (it == heads.end()) continue;
+    for (int64_t j = it->second; j >= 0; j = next[j]) {
+      bool equal = true;
+      for (size_t k = 0; equal && k < lkeys.size(); ++k) {
+        equal = CellsNotDistinct(*lkeys[k], i, *rkeys[k], j);
+      }
+      if (!equal) continue;
+      cand_l.push_back(i);
+      cand_r.push_back(j);
+      if (cand_l.size() == kChunkPairs) {
+        MSQL_RETURN_IF_ERROR(state->guard.Check());
+        MSQL_RETURN_IF_ERROR(flush());
+      }
+    }
+  }
+  MSQL_RETURN_IF_ERROR(flush());
+
+  // Outer joins: a left row without a match follows its position with a
+  // NULL right side; unmatched right rows come last.
+  const bool keep_left = plan.join_type == JoinType::kLeft ||
+                         plan.join_type == JoinType::kFull;
+  const bool keep_right = plan.join_type == JoinType::kRight ||
+                          plan.join_type == JoinType::kFull;
+  std::vector<int64_t> li, ri;
+  uint64_t padded = 0;
+  if (keep_left) {
+    li.reserve(out_l.size());
+    ri.reserve(out_r.size());
+    size_t p = 0;
+    for (int64_t i = 0; i < nl; ++i) {
+      const size_t first = p;
+      for (; p < out_l.size() && out_l[p] == i; ++p) {
+        li.push_back(i);
+        ri.push_back(out_r[p]);
+      }
+      if (p == first) {
+        li.push_back(i);
+        ri.push_back(-1);
+        ++padded;
+      }
+    }
+  } else {
+    li = std::move(out_l);
+    ri = std::move(out_r);
+  }
+  if (keep_right) {
+    std::vector<char> matched(static_cast<size_t>(nr), 0);
+    for (int64_t j : ri) {
+      if (j >= 0) matched[j] = 1;
+    }
+    for (int64_t j = 0; j < nr; ++j) {
+      if (matched[j]) continue;
+      li.push_back(-1);
+      ri.push_back(j);
+      ++padded;
+    }
+  }
+  MSQL_RETURN_IF_ERROR(state->guard.ChargeRows(padded, width));
+
+  auto arena = std::make_shared<Arena>();
+  auto out = std::make_shared<ColumnarRelation>();
+  out->num_rows = static_cast<int64_t>(li.size());
+  out->cols.resize(width);
+  for (size_t c = 0; c < width; ++c) {
+    MSQL_ASSIGN_OR_RETURN(out->cols[c], gather(c, li, ri, arena));
+  }
+  out->batches = MakeBatches(out->num_rows);
+  rel->columns = out;
+  rel->rows.AdoptLazy(std::move(out));
+  state->exec_vectorized_batches +=
+      static_cast<uint64_t>(NumBatches(nl) + NumBatches(nr));
+  return true;
+}
+
 }  // namespace
 
 Result<RelationPtr> Executor::ExecJoin(const LogicalPlan& plan,
@@ -439,12 +691,33 @@ Result<RelationPtr> Executor::ExecJoin(const LogicalPlan& plan,
   MSQL_ASSIGN_OR_RETURN(RelationPtr right, Execute(*plan.children[1], outer));
   auto rel = std::make_shared<Relation>();
   rel->schema = plan.schema;
-  Evaluator ev(state_);
 
   const size_t lv = left->schema.num_visible();
   const size_t rv = right->schema.num_visible();
   const size_t lh = left->schema.size() - lv;
   const size_t rh = right->schema.size() - rv;
+  JoinKeys keys = AnalyzeJoin(plan.join_condition.get(), lv, rv, lh);
+
+  // Correlated joins (outer frames) stay on rows; so does a nested-loop
+  // join, which has no kernel (counted: its inputs were columnar).
+  if (outer.empty() && HasCompleteColumns(*left) &&
+      HasCompleteColumns(*right) &&
+      VectorizedGate(state_) == VectorGate::kOk) {
+    bool done = false;
+    if (!keys.left.empty()) {
+      MSQL_ASSIGN_OR_RETURN(done,
+                            TryVectorJoin(plan, keys, JoinLayout{lv, rv, lh},
+                                          *left, *right, state_, rel.get()));
+    }
+    if (done) {
+      MSQL_RETURN_IF_ERROR(
+          BuildMeasures(plan, {left, right}, outer.empty(), rel.get()));
+      return RelationPtr(rel);
+    }
+    ++state_->exec_row_fallbacks;
+  }
+
+  Evaluator ev(state_);
 
   auto combine = [&](const Row& l, const Row& r) {
     Row row;
@@ -467,7 +740,6 @@ Result<RelationPtr> Executor::ExecJoin(const LogicalPlan& plan,
   const bool keep_right = plan.join_type == JoinType::kRight ||
                           plan.join_type == JoinType::kFull;
   std::vector<char> right_matched(keep_right ? right->rows.size() : 0, 0);
-  JoinKeys keys = AnalyzeJoin(plan.join_condition.get(), lv, rv, lh);
 
   auto eval_residual = [&](const Row& combined) -> Result<bool> {
     stack[0] = Frame{&combined, -1, nullptr};
@@ -756,6 +1028,18 @@ Result<RelationPtr> Executor::ExecAggregate(const LogicalPlan& plan,
           state_->options.inline_visible_contexts &&
           me.modifiers.size() == 1 &&
           me.modifiers[0].kind == AtModifier::Kind::kVisible;
+      // Only VISIBLE reads the group's source row ids; a bare call site
+      // skips the per-group gather + sort + unique.
+      const bool wants_visible =
+          m.rowid_col >= 0 &&
+          std::any_of(me.modifiers.begin(), me.modifiers.end(),
+                      [](const BoundAtModifier& mod) {
+                        return mod.kind == AtModifier::Kind::kVisible;
+                      });
+      // Only modifiers read the representative row (group keys become
+      // dimension terms from `key`, closed over the outer frames).
+      const bool wants_rep = !visible_only && !me.modifiers.empty();
+      const bool rep_columnar = wants_rep && HasCompleteColumns(*child);
 
       std::vector<EvalContext> contexts;
       contexts.reserve(group_keys.size());
@@ -769,12 +1053,14 @@ Result<RelationPtr> Executor::ExecAggregate(const LogicalPlan& plan,
         EvalContext ctx;
         RowStack call_stack;
         // Representative row: group keys may be closed over by modifiers.
-        // Only needed when dimension terms are built — the VISIBLE-only
-        // path never dereferences it, and touching child->rows here would
-        // force a lazy columnar child to materialize its row vector.
+        // A columnar child rebuilds just this row; touching child->rows
+        // would force a lazy child to materialize every row.
         Frame rep;
-        if (!visible_only && !rows.empty()) {
-          rep = Frame{&child->rows[rows[0]], rows[0], child.get()};
+        Row rep_row;
+        if (wants_rep && !rows.empty()) {
+          if (rep_columnar) rep_row = RowAt(*child->columns, rows[0]);
+          rep = Frame{rep_columnar ? &rep_row : &child->rows[rows[0]],
+                      rows[0], child.get()};
         }
         call_stack.push_back(rep);
         for (const Frame& f : outer) call_stack.push_back(f);
@@ -796,7 +1082,7 @@ Result<RelationPtr> Executor::ExecAggregate(const LogicalPlan& plan,
 
         // VISIBLE: the distinct source rows reachable from this group.
         std::shared_ptr<const std::vector<int64_t>> visible;
-        if (m.rowid_col >= 0) {
+        if (wants_visible) {
           MSQL_ASSIGN_OR_RETURN(visible, CollectRowIds(m, *child, rows));
         }
         MSQL_RETURN_IF_ERROR(ApplyModifiers(m, me.modifiers, call_stack,

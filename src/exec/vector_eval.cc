@@ -1,6 +1,8 @@
 #include "exec/vector_eval.h"
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <string>
 
 #include "common/date.h"
@@ -595,6 +597,79 @@ Result<ColumnPtr> EvalVector(const BoundExpr& e, const Relation& rel,
                              const std::shared_ptr<Arena>& arena,
                              ExecState* state) {
   return EvalVec(e, rel, arena, state);
+}
+
+void JoinKeyHashes(const std::vector<ColumnPtr>& keys,
+                   const std::vector<ColumnPtr>& peers, int64_t rows,
+                   std::vector<uint64_t>* hashes,
+                   std::vector<uint8_t>* has_null) {
+  hashes->assign(static_cast<size_t>(rows), 0xcbf29ce484222325ULL);
+  has_null->assign(static_cast<size_t>(rows), 0);
+  uint64_t* h = hashes->data();
+  uint8_t* null = has_null->data();
+  for (size_t k = 0; k < keys.size(); ++k) {
+    const ColumnVector& c = *keys[k];
+    auto mix = [&](int64_t i, uint64_t v) {
+      h[i] = (h[i] ^ v) * 0x100000001b3ULL;
+    };
+    if (c.kind == TypeKind::kNull) {
+      std::fill(null, null + rows, 1);
+      continue;
+    }
+    if (c.valid != nullptr) {
+      for (int64_t i = 0; i < rows; ++i) null[i] |= c.IsValid(i) ? 0 : 1;
+    }
+    // Hashes follow Value::Hash wherever kinds can meet: numbers through
+    // std::hash<double> (which also folds -0.0 onto 0.0) when the pair
+    // involves a DOUBLE, strings through their text.
+    const bool as_double = c.kind == TypeKind::kDouble ||
+                           peers[k]->kind == TypeKind::kDouble;
+    if (c.kind == TypeKind::kString) {
+      std::vector<uint64_t> by_code;
+      if (c.dict_unique) {
+        by_code.reserve(c.dict->size());
+        for (const std::string& s : *c.dict) {
+          by_code.push_back(std::hash<std::string>()(s));
+        }
+      }
+      for (int64_t i = 0; i < rows; ++i) {
+        if (null[i]) continue;
+        mix(i, c.dict_unique ? by_code[static_cast<size_t>(c.ints[i])]
+                             : std::hash<std::string>()(StrAt(c, i)));
+      }
+    } else if (as_double) {
+      for (int64_t i = 0; i < rows; ++i) {
+        if (!null[i]) mix(i, std::hash<double>()(AsDoubleAt(c, i)));
+      }
+    } else {
+      for (int64_t i = 0; i < rows; ++i) {
+        if (null[i]) continue;
+        // splitmix64 finalizer: dense int keys spread over all buckets.
+        uint64_t x = static_cast<uint64_t>(c.ints[i]) + 0x9e3779b97f4a7c15ULL;
+        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+        mix(i, x ^ (x >> 31));
+      }
+    }
+  }
+}
+
+bool CellsNotDistinct(const ColumnVector& a, int64_t i, const ColumnVector& b,
+                      int64_t j) {
+  if (a.kind == b.kind) {
+    if (IsIntPayload(a.kind)) return a.ints[i] == b.ints[j];
+    if (a.kind == TypeKind::kDouble) return a.doubles[i] == b.doubles[j];
+    if (a.kind == TypeKind::kString) {
+      if (a.dict == b.dict && a.dict_unique) return a.ints[i] == b.ints[j];
+      return StrAt(a, i) == StrAt(b, j);
+    }
+    return true;
+  }
+  if ((a.kind == TypeKind::kInt64 || a.kind == TypeKind::kDouble) &&
+      (b.kind == TypeKind::kInt64 || b.kind == TypeKind::kDouble)) {
+    return AsDoubleAt(a, i) == AsDoubleAt(b, j);
+  }
+  return false;
 }
 
 }  // namespace msql

@@ -2,6 +2,7 @@
 #define MSQL_EXEC_VECTOR_EVAL_H_
 
 #include <memory>
+#include <vector>
 
 #include "binder/bound_expr.h"
 #include "common/arena.h"
@@ -37,6 +38,23 @@ VectorGate VectorizedGate(ExecState* state);
 Result<ColumnPtr> EvalVector(const BoundExpr& e, const Relation& rel,
                              const std::shared_ptr<Arena>& arena,
                              ExecState* state);
+
+// Hash-join key support. Key k of a join compares one side's column
+// keys[k] with the other side's peers[k] under Value::NotDistinct (the row
+// join's GroupMap equality). JoinKeyHashes gives each of the `rows` rows of
+// `keys` a hash of its key tuple, computed so that tuples NotDistinct from
+// a tuple of the other side (hashed with the roles swapped) hash alike:
+// INT 2 meets DOUBLE 2.0. Rows with a NULL component are flagged in
+// `has_null`: `=` never matches them.
+void JoinKeyHashes(const std::vector<ColumnPtr>& keys,
+                   const std::vector<ColumnPtr>& peers, int64_t rows,
+                   std::vector<uint64_t>* hashes,
+                   std::vector<uint8_t>* has_null);
+
+// Value::NotDistinct(a.At(i), b.At(j)) for two non-NULL cells, without
+// building either Value.
+bool CellsNotDistinct(const ColumnVector& a, int64_t i, const ColumnVector& b,
+                      int64_t j);
 
 }  // namespace msql
 

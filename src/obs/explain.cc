@@ -151,8 +151,13 @@ std::string RenderAnalyzeSummary(const QueryStats& stats,
                 " grouped_probes=", stats.measure_grouped_probes,
                 " parallel_tasks=", stats.measure_parallel_tasks,
                 " shared_hits=", stats.shared_cache_hits,
-                " shared_misses=", stats.shared_cache_misses,
-                " strategy=", StrategyNote(opts), "\n");
+                " shared_misses=", stats.shared_cache_misses);
+  // The strategy only describes how measures were evaluated; a plain-SQL
+  // statement evaluated none, so naming one would be a false signal.
+  if (stats.measure_evals > 0) {
+    out += StrCat(" strategy=", StrategyNote(opts));
+  }
+  out += "\n";
   out += StrCat("Subqueries: execs=", stats.subquery_execs,
                 " cache_hits=", stats.subquery_cache_hits, "\n");
   out += StrCat("Exec: vectorized_batches=", stats.exec_vectorized_batches,

@@ -222,6 +222,121 @@ TEST_P(ExecPropertyTest, RowAndVectorizedModesAgree) {
   }
 }
 
+TEST_P(ExecPropertyTest, JoinRowAndVectorizedModesAgree) {
+  // The columnar hash join must return the row join's rows in the row
+  // join's order, bit for bit, and charge the same rows: every join type,
+  // NULL and duplicate (fan-out) keys, multi-column and mixed-kind keys,
+  // residuals with and without a kernel, and empty sides. Measures read
+  // through a join (the analyst template) must not notice either.
+  std::mt19937 rng(GetParam() + 1);
+  std::uniform_int_distribution<int> pick(0, 9);
+  auto load = [&](const char* table, int rows) {
+    MustExecute(&db_, StrCat("CREATE TABLE ", table,
+                             " (k INTEGER, g INTEGER, s VARCHAR, d DOUBLE)"));
+    const char* words[] = {"'x'", "'y'", "'z'"};
+    const char* doubles[] = {"0.0", "-0.0", "1.0", "2.5", "3.0"};
+    std::string sql = StrCat("INSERT INTO ", table, " VALUES ");
+    for (int i = 0; i < rows; ++i) {
+      auto maybe = [&](std::string v) {
+        return pick(rng) == 0 ? std::string("NULL") : v;
+      };
+      sql += StrCat(i > 0 ? ", " : "", "(", maybe(StrCat(pick(rng))), ", ",
+                    maybe(StrCat(pick(rng) % 3)), ", ",
+                    maybe(words[pick(rng) % 3]), ", ",
+                    maybe(doubles[pick(rng) % 5]), ")");
+    }
+    MustExecute(&db_, sql);
+  };
+  load("c", 30);
+  load("t", 20);
+  MustExecute(&db_, "CREATE TABLE e (k INTEGER, w INTEGER)");
+  MustExecute(&db_,
+              "CREATE VIEW BV AS SELECT *, SUM(w) AS MEASURE sw, "
+              "COUNT(*) AS MEASURE cnt FROM b");
+
+  struct Case {
+    const char* sql;
+    bool kernel;  // the join runs vectorized (no row fallback)
+  };
+  const Case cases[] = {
+      {"SELECT * FROM a JOIN b ON a.k = b.k", true},
+      {"SELECT * FROM a LEFT JOIN b ON a.k = b.k", true},
+      {"SELECT * FROM a RIGHT JOIN b ON a.k = b.k", true},
+      {"SELECT * FROM a FULL JOIN b ON a.k = b.k", true},
+      {"SELECT * FROM b JOIN a ON b.k = a.k", true},
+      // Multi-column keys, string keys over two dictionaries, DOUBLE keys
+      // (-0.0 meets 0.0) and INT-vs-DOUBLE keys, expression keys.
+      {"SELECT * FROM c JOIN t ON c.k = t.k AND c.g = t.g", true},
+      {"SELECT * FROM c FULL JOIN t ON c.s = t.s AND t.g = c.g", true},
+      {"SELECT * FROM c LEFT JOIN t ON c.d = t.d", true},
+      {"SELECT * FROM c RIGHT JOIN t ON c.d = t.k", true},
+      {"SELECT c.k, t.k FROM c JOIN t ON c.k + 1 = t.k - 1", true},
+      {"SELECT * FROM a JOIN b USING (k)", true},
+      // Residual conjuncts with a kernel: outer rows whose every candidate
+      // fails the residual are padded.
+      {"SELECT * FROM a JOIN b ON a.k = b.k AND a.v < b.w", true},
+      {"SELECT * FROM a LEFT JOIN b ON a.k = b.k AND a.v < b.w", true},
+      {"SELECT * FROM a FULL JOIN b ON a.k = b.k AND a.v < b.w "
+       "AND (b.w > 0 OR a.v IS NULL)",
+       true},
+      // Residuals without a kernel, and a nested loop: the row join.
+      {"SELECT * FROM a JOIN b ON a.k = b.k AND b.w IN (1, 2, 3, -4)", false},
+      {"SELECT * FROM a LEFT JOIN b ON a.k = b.k AND "
+       "CASE WHEN a.v > 0 THEN b.w > 0 ELSE b.w < 0 END",
+       false},
+      {"SELECT * FROM a JOIN b ON a.v < b.w", false},
+      // Empty sides.
+      {"SELECT * FROM a JOIN e ON a.k = e.k", true},
+      {"SELECT * FROM a LEFT JOIN e ON a.k = e.k", true},
+      {"SELECT * FROM e RIGHT JOIN a ON e.k = a.k", true},
+      {"SELECT * FROM e FULL JOIN e AS f ON e.k = f.k", true},
+      // A measure view joined like the analyst template.
+      {"SELECT a.k, AGGREGATE(x.sw) AS s, AGGREGATE(x.cnt) AS n "
+       "FROM a JOIN BV AS x USING (k) WHERE a.v > 0 GROUP BY a.k",
+       true},
+      {"SELECT a.k, x.sw AT (VISIBLE) AS s, x.sw AS total "
+       "FROM a LEFT JOIN BV AS x ON a.k = x.k WHERE a.v < 25 GROUP BY a.k",
+       true},
+  };
+  testing::CompareOptions exact;
+  exact.ignore_row_order = false;
+  exact.double_ulps = 0;
+  exact.double_rel_tol = 0;
+  exact.allow_numeric_kind_mismatch = false;
+  for (const Case& c : cases) {
+    db_.shared_cache().Clear();
+    db_.options().exec_mode = ExecMode::kVectorized;
+    ResultSet vec = MustQuery(&db_, c.sql);
+    db_.shared_cache().Clear();
+    db_.options().exec_mode = ExecMode::kRow;
+    ResultSet row = MustQuery(&db_, c.sql);
+    db_.options().exec_mode = ExecMode::kVectorized;
+    EXPECT_TRUE(testing::ResultsAgree(vec, row, exact)) << c.sql;
+    ASSERT_NE(vec.stats(), nullptr);
+    ASSERT_NE(row.stats(), nullptr);
+    EXPECT_EQ(vec.stats()->rows_charged, row.stats()->rows_charged) << c.sql;
+    // The Join node itself must say which path ran (a join over two empty
+    // sides runs no batch, so it carries no exec= note).
+    ResultSet plan = MustQuery(&db_, StrCat("EXPLAIN ANALYZE ", c.sql));
+    std::string join_line;
+    for (size_t i = 0; i < plan.num_rows() && join_line.empty(); ++i) {
+      const std::string& line = plan.Get(i, 0).str();
+      if (line.find("Join ") != std::string::npos) join_line = line;
+    }
+    if (c.kernel) {
+      EXPECT_EQ(vec.stats()->exec_row_fallbacks, 0u) << c.sql;
+      if (vec.num_rows() > 0) {
+        EXPECT_NE(join_line.find("exec=vectorized"), std::string::npos)
+            << c.sql << "\n" << join_line;
+      }
+    } else {
+      EXPECT_GT(vec.stats()->exec_row_fallbacks, 0u) << c.sql;
+      EXPECT_NE(join_line.find("exec=row"), std::string::npos)
+          << c.sql << "\n" << join_line;
+    }
+  }
+}
+
 // Direct kernel-vs-Evaluator agreement on hand-built columnar batches. The
 // batch spans several 1024-row boundaries and every column carries NULLs.
 class VectorKernelTest : public ::testing::TestWithParam<uint32_t> {

@@ -171,6 +171,71 @@ TEST_F(ExplainAnalyzeTest, AnalyzeWithNaiveStrategyReportsScans) {
   EXPECT_NE(text.find("strategy=naive"), std::string::npos);
 }
 
+TEST_F(ExplainAnalyzeTest, StrategyIsNamedOnlyWhenAMeasureRan) {
+  // Plain SQL evaluates no measure, so the summary names no strategy.
+  std::string plain = Render(
+      "EXPLAIN ANALYZE SELECT prodName, SUM(revenue) AS r FROM Orders "
+      "GROUP BY prodName");
+  ASSERT_NE(plain.find("Measures: evals=0"), std::string::npos) << plain;
+  EXPECT_EQ(plain.find("strategy="), std::string::npos) << plain;
+  std::string measured = Render(std::string("EXPLAIN ANALYZE ") + kListing4);
+  EXPECT_NE(LineWith(measured, "Measures: evals=3").find(
+                "strategy=grouped+inline"),
+            std::string::npos)
+      << measured;
+}
+
+TEST_F(ExplainAnalyzeTest, RowFallbacksCountOnlyDeclinedKernels) {
+  // Fully vectorizable below a row-only Sort: the Project above the Sort
+  // has no columnar input, so no kernel was tried and nothing fell back.
+  auto clean = db_.Query(
+      "SELECT prodName, SUM(revenue) AS r FROM Orders WHERE revenue > 3 "
+      "GROUP BY prodName ORDER BY prodName");
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  ASSERT_NE(clean.value().stats(), nullptr);
+  EXPECT_GT(clean.value().stats()->exec_vectorized_batches, 0u);
+  EXPECT_EQ(clean.value().stats()->exec_row_fallbacks, 0u);
+  // LIKE has no kernel: the Filter tried its columnar input and declined.
+  auto declined = db_.Query(
+      "SELECT prodName FROM Orders WHERE prodName LIKE 'H%' ORDER BY 1");
+  ASSERT_TRUE(declined.ok()) << declined.status().ToString();
+  ASSERT_NE(declined.value().stats(), nullptr);
+  EXPECT_GT(declined.value().stats()->exec_row_fallbacks, 0u);
+  std::string text = Render(
+      "EXPLAIN ANALYZE SELECT prodName FROM Orders WHERE prodName LIKE 'H%'");
+  EXPECT_NE(LineWith(text, "Filter").find("exec=row"), std::string::npos)
+      << text;
+}
+
+TEST_F(ExplainAnalyzeTest, AnalystJoinTemplateStaysColumnar) {
+  // A measure view joined to the fact table and filtered above the join:
+  // the Join and the Filter both run on columns, and charge exactly what
+  // the row-at-a-time operators charge.
+  MustExecute(&db_,
+              "CREATE VIEW EC AS SELECT *, AVG(custAge) AS MEASURE avgAge, "
+              "COUNT(*) AS MEASURE custCount FROM Customers");
+  const std::string sql =
+      "SELECT o.prodName, AGGREGATE(c.avgAge) AS avg_age, "
+      "AGGREGATE(c.custCount) AS customers FROM Orders AS o "
+      "JOIN EC AS c USING (custName) WHERE o.revenue > 3 GROUP BY o.prodName";
+  std::string vec = Render("EXPLAIN ANALYZE " + sql);
+  for (const char* op : {"Join ", "Filter "}) {
+    std::string line = LineWith(vec, op);
+    EXPECT_NE(line.find("exec=vectorized"), std::string::npos) << vec;
+    EXPECT_NE(line.find("fallbacks=0"), std::string::npos) << vec;
+  }
+  db_.options().exec_mode = ExecMode::kRow;
+  std::string row = Render("EXPLAIN ANALYZE " + sql);
+  db_.options().exec_mode = ExecMode::kVectorized;
+  auto charged = [](const std::string& text) {
+    std::string line = LineWith(text, "rows_charged=");
+    size_t at = line.find("rows_charged=");
+    return line.substr(at, line.find(' ', at) - at);
+  };
+  EXPECT_EQ(charged(vec), charged(row)) << vec << row;
+  EXPECT_NE(charged(vec), "rows_charged=0");
+}
+
 TEST_F(ExplainAnalyzeTest, AnalyzeResultMatchesDirectExecution) {
   // ANALYZE must not perturb results: the listing still returns its table.
   ResultSet direct = MustQuery(&db_, kListing4);

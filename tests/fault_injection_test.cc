@@ -362,6 +362,82 @@ TEST_F(FaultInjectionTest, VectorizedKernelFaultDegradesToRowExecution) {
       << "the workload never crossed exec.vectorized_kernel";
 }
 
+TEST_F(FaultInjectionTest, VectorizedKernelFaultDuringJoinDegradesToRowJoin) {
+  // The analyst join shape: a measure view joined to a fact table, read
+  // through AGGREGATE. Stepping the fault across every checkpoint must hit
+  // the Join's own gate at least once; whichever operator it lands on runs
+  // on rows and the result is unchanged.
+  const char* sql =
+      "SELECT o.prodName, AGGREGATE(c.avgAge) AS a, AGGREGATE(c.n) AS n "
+      "FROM Orders AS o JOIN EC AS c USING (custName) "
+      "WHERE o.revenue > 3 GROUP BY o.prodName ORDER BY o.prodName";
+  auto run = [&](const std::string& q, ResultSet* out) {
+    Engine db;
+    Status st = db.ImportCsv("Orders", csv_path_);
+    if (!st.ok()) return st;
+    st = db.Execute(
+        "CREATE TABLE Customers (custName VARCHAR, custAge INTEGER);"
+        "INSERT INTO Customers VALUES ('Alice', 23), ('Bob', 41), "
+        "('Celia', 17);"
+        "CREATE VIEW EC AS SELECT *, AVG(custAge) AS MEASURE avgAge, "
+        "COUNT(*) AS MEASURE n FROM Customers");
+    if (!st.ok()) return st;
+    auto r = db.Query(q);
+    if (!r.ok()) return r.status();
+    *out = std::move(r.value());
+    return Status::Ok();
+  };
+  auto join_line = [](const ResultSet& plan) {
+    for (size_t i = 0; i < plan.num_rows(); ++i) {
+      const std::string& line = plan.Get(i, 0).str();
+      if (line.find("Join ") != std::string::npos) return line;
+    }
+    return std::string();
+  };
+
+  auto& fi = FaultInjector::Instance();
+  ResultSet want, plan;
+  ASSERT_TRUE(run(sql, &want).ok());
+  ASSERT_EQ(want.num_rows(), 2u);  // Acme, Happy (Whizz's revenue is 3)
+  fi.ArmAt(0);  // count-only
+  ASSERT_TRUE(run(std::string("EXPLAIN ANALYZE ") + sql, &plan).ok());
+  const int64_t n = fi.hits();
+  fi.Reset();
+  ASSERT_NE(join_line(plan).find("exec=vectorized"), std::string::npos)
+      << join_line(plan);
+
+  bool join_degraded = false;
+  for (int64_t i = 1; i <= n; ++i) {
+    fi.ArmAt(i);
+    Status st = run(std::string("EXPLAIN ANALYZE ") + sql, &plan);
+    const std::string fired_site = fi.fired_site();
+    fi.Reset();
+    if (fired_site != "exec.vectorized_kernel") continue;
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    const std::string line = join_line(plan);
+    if (line.find("exec=row") == std::string::npos) continue;
+    join_degraded = true;
+    // The same checkpoint in the plain query: the row join's answer.
+    ResultSet got;
+    fi.ArmAt(i);
+    st = run(sql, &got);
+    EXPECT_EQ(fi.fired_site(), "exec.vectorized_kernel");
+    fi.Reset();
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    ASSERT_EQ(got.num_rows(), want.num_rows());
+    for (size_t r = 0; r < want.num_rows(); ++r) {
+      for (size_t c = 0; c < want.num_columns(); ++c) {
+        EXPECT_TRUE(Value::NotDistinct(got.Get(r, c), want.Get(r, c)))
+            << "row " << r << " col " << c;
+      }
+    }
+    ASSERT_NE(got.stats(), nullptr);
+    EXPECT_GE(got.stats()->exec_row_fallbacks, 1u);
+  }
+  EXPECT_TRUE(join_degraded)
+      << "no injected exec.vectorized_kernel fault landed on the Join";
+}
+
 TEST_F(FaultInjectionTest, AdmissionAndRetrySweep) {
   // The runtime fault points (runtime.admission_wait at the head of
   // Submit, runtime.retry_backoff before each retry sleep) are crossed

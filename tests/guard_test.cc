@@ -64,6 +64,36 @@ TEST(GuardTest, MemoryBudgetTrips) {
       << r.status().ToString();
 }
 
+TEST(GuardTest, MemoryBudgetStopsFanOutJoinInBothExecModes) {
+  // 400 rows on one key: the self-join fans out to 160k rows. The columnar
+  // hash join charges its matches as it emits them, so the budget stops it
+  // like the row join, and without a budget both charge the same rows.
+  Engine db;
+  LoadInts(&db, 400, 1);
+  const char* sql = "SELECT COUNT(*) FROM T a JOIN T b ON a.k = b.k";
+  uint64_t charged[2] = {0, 0};
+  int mode = 0;
+  for (ExecMode exec : {ExecMode::kVectorized, ExecMode::kRow}) {
+    db.options().exec_mode = exec;
+    db.options().max_memory_bytes = 1 << 20;
+    auto r = db.Query(sql);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), ErrorCode::kResourceExhausted);
+    EXPECT_NE(r.status().message().find("max_memory_bytes"),
+              std::string::npos)
+        << r.status().ToString();
+    db.options().max_memory_bytes = 0;
+    ResultSet rs = MustQuery(&db, sql);
+    EXPECT_EQ(rs.Get(0, 0).int_val(), 160000);
+    ASSERT_NE(rs.stats(), nullptr);
+    charged[mode++] = rs.stats()->rows_charged;
+    if (exec == ExecMode::kVectorized) {
+      EXPECT_EQ(rs.stats()->exec_row_fallbacks, 0u);
+    }
+  }
+  EXPECT_EQ(charged[0], charged[1]);
+}
+
 TEST(GuardTest, BudgetErrorIsDeterministic) {
   // Same query, same budget -> byte-identical error, run after run.
   std::string first;
